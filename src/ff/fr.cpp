@@ -110,7 +110,7 @@ U256 sub_mod(const U256& a, const U256& b) {
 
 }  // namespace
 
-Fr Fr::one() noexcept { return from_u64(1); }
+Fr Fr::one() noexcept { return Fr{kR}; }  // 1 in Montgomery form is R mod r
 
 Fr Fr::from_u64(std::uint64_t v) { return from_u256_reduce(U256{v}); }
 
@@ -132,9 +132,13 @@ Fr Fr::from_u256_canonical(const U256& v) {
 
 Fr Fr::from_bytes_reduce(BytesView bytes) {
   WAKU_EXPECTS(bytes.size() <= 32);
-  Bytes padded(32 - bytes.size(), 0);
-  padded.insert(padded.end(), bytes.begin(), bytes.end());
-  return from_u256_reduce(u256_from_bytes_be(padded));
+  // Big-endian: the last byte is the least significant.
+  U256 v;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    const std::size_t shift = 8 * (bytes.size() - 1 - i);
+    v.limb[shift / 64] |= std::uint64_t{bytes[i]} << (shift % 64);
+  }
+  return from_u256_reduce(v);
 }
 
 Fr Fr::random(Rng& rng) {

@@ -49,7 +49,9 @@ class Fr {
   /// Canonical 32-byte big-endian serialization.
   [[nodiscard]] Bytes to_bytes_be() const;
 
-  [[nodiscard]] bool is_zero() const { return to_u256().is_zero(); }
+  /// Montgomery form maps 0 to 0 and every operation keeps mont_ < r, so
+  /// no conversion is needed.
+  [[nodiscard]] bool is_zero() const { return mont_.is_zero(); }
 
   Fr operator+(const Fr& o) const;
   Fr operator-(const Fr& o) const;

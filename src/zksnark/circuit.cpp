@@ -4,12 +4,28 @@
 
 namespace waku::zksnark {
 
+CircuitBuilder::CircuitBuilder(std::shared_ptr<const ConstraintSystem> shape,
+                               std::vector<Fr> assignment)
+    : shape_(std::move(shape)), assignment_(std::move(assignment)) {
+  WAKU_EXPECTS(shape_ != nullptr);
+  WAKU_EXPECTS(assignment_.size() == shape_->num_variables());
+}
+
 Wire CircuitBuilder::allocate(const Fr& value, bool is_public) {
+  WAKU_EXPECTS(shape_ == nullptr);  // a frozen shape takes no new variables
   const VarIndex v =
       is_public ? cs_.allocate_public() : cs_.allocate_private();
   WAKU_ASSERT(v == assignment_.size());
   assignment_.push_back(value);
   return Wire{LinearCombination::variable(v), value};
+}
+
+void CircuitBuilder::enforce(LinearCombination a, LinearCombination b,
+                             LinearCombination c, std::string_view note,
+                             std::string_view fallback) {
+  WAKU_EXPECTS(shape_ == nullptr);  // nor new constraints
+  cs_.enforce(std::move(a), std::move(b), std::move(c),
+              std::string(note.empty() ? fallback : note));
 }
 
 Wire CircuitBuilder::public_input(const Fr& value) {
@@ -36,39 +52,29 @@ Wire CircuitBuilder::scale(const Wire& a, const Fr& k) {
   return Wire{a.lc.scaled(k), a.value * k};
 }
 
-Wire CircuitBuilder::mul(const Wire& a, const Wire& b,
-                         const std::string& note) {
+Wire CircuitBuilder::mul(const Wire& a, const Wire& b, std::string_view note) {
   const Wire out = witness(a.value * b.value);
-  cs_.enforce(a.lc, b.lc, out.lc, note.empty() ? "mul" : note);
+  enforce(a.lc, b.lc, out.lc, note, "mul");
   return out;
 }
 
-Wire CircuitBuilder::materialize(const Wire& a, const std::string& note) {
+Wire CircuitBuilder::materialize(const Wire& a, std::string_view note) {
   const Wire out = witness(a.value);
-  cs_.enforce(a.lc, LinearCombination::constant(Fr::one()), out.lc,
-              note.empty() ? "materialize" : note);
+  enforce(a.lc, LinearCombination::constant(Fr::one()), out.lc, note,
+          "materialize");
   return out;
 }
 
 void CircuitBuilder::assert_equal(const Wire& a, const Wire& b,
-                                  const std::string& note) {
-  cs_.enforce(a.lc - b.lc, LinearCombination::constant(Fr::one()),
-              LinearCombination{}, note.empty() ? "assert_equal" : note);
+                                  std::string_view note) {
+  enforce(a.lc - b.lc, LinearCombination::constant(Fr::one()),
+          LinearCombination{}, note, "assert_equal");
 }
 
-void CircuitBuilder::assert_boolean(const Wire& bit, const std::string& note) {
+void CircuitBuilder::assert_boolean(const Wire& bit, std::string_view note) {
   // bit * (1 - bit) = 0
-  cs_.enforce(bit.lc,
-              LinearCombination::constant(Fr::one()) - bit.lc,
-              LinearCombination{}, note.empty() ? "boolean" : note);
-}
-
-std::pair<Wire, Wire> CircuitBuilder::conditional_swap(const Wire& s,
-                                                       const Wire& l,
-                                                       const Wire& r) {
-  // t = s * (r - l); first = l + t; second = r - t.
-  const Wire t = mul(s, sub(r, l), "cond_swap");
-  return {add(l, t), sub(r, t)};
+  enforce(bit.lc, LinearCombination::constant(Fr::one()) - bit.lc,
+          LinearCombination{}, note, "boolean");
 }
 
 }  // namespace waku::zksnark

@@ -62,19 +62,46 @@ Fr LinearCombination::evaluate(std::span<const Fr> assignment) const {
   return acc;
 }
 
+namespace {
+
+// <lc, s> for the satisfiability check: the same value as
+// LinearCombination::evaluate, but a unit coefficient skips its
+// multiplication and the sum starts at the first term instead of zero.
+// evaluate itself keeps its full cost, because the prover's RLC passes
+// (the modeled MSMs in groth16.cpp) are priced through it.
+Fr evaluate_for_check(const LinearCombination& lc,
+                      std::span<const Fr> assignment) {
+  const auto& terms = lc.terms();
+  if (terms.empty()) return Fr::zero();
+  const Fr one = Fr::one();
+  const auto term = [&](const std::pair<VarIndex, Fr>& t) {
+    WAKU_ASSERT(t.first < assignment.size());
+    return t.second == one ? assignment[t.first]
+                           : t.second * assignment[t.first];
+  };
+  Fr acc = term(terms[0]);
+  for (std::size_t i = 1; i < terms.size(); ++i) acc += term(terms[i]);
+  return acc;
+}
+
+}  // namespace
+
 VarIndex ConstraintSystem::allocate_public() {
   WAKU_EXPECTS(!private_allocated_);
+  digest_.reset();
   ++num_public_;
   return static_cast<VarIndex>(num_vars_++);
 }
 
 VarIndex ConstraintSystem::allocate_private() {
   private_allocated_ = true;
+  digest_.reset();
   return static_cast<VarIndex>(num_vars_++);
 }
 
 void ConstraintSystem::enforce(LinearCombination a, LinearCombination b,
                                LinearCombination c, std::string annotation) {
+  digest_.reset();
   constraints_.push_back(Constraint{std::move(a), std::move(b), std::move(c),
                                     std::move(annotation)});
 }
@@ -87,9 +114,9 @@ bool ConstraintSystem::is_satisfied(std::span<const Fr> assignment,
     return false;
   }
   for (const Constraint& cst : constraints_) {
-    const Fr a = cst.a.evaluate(assignment);
-    const Fr b = cst.b.evaluate(assignment);
-    const Fr c = cst.c.evaluate(assignment);
+    const Fr a = evaluate_for_check(cst.a, assignment);
+    const Fr b = evaluate_for_check(cst.b, assignment);
+    const Fr c = evaluate_for_check(cst.c, assignment);
     if (a * b != c) {
       if (first_violation) {
         *first_violation =
@@ -102,6 +129,7 @@ bool ConstraintSystem::is_satisfied(std::span<const Fr> assignment,
 }
 
 Fr ConstraintSystem::digest() const {
+  if (digest_) return *digest_;
   ByteWriter w;
   w.write_u64(num_vars_);
   w.write_u64(num_public_);
@@ -118,7 +146,8 @@ Fr ConstraintSystem::digest() const {
     write_lc(cst.b);
     write_lc(cst.c);
   }
-  return Fr::from_bytes_reduce(hash::sha256_bytes(w.data()));
+  digest_ = Fr::from_bytes_reduce(hash::sha256_bytes(w.data()));
+  return *digest_;
 }
 
 }  // namespace waku::zksnark

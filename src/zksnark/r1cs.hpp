@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,11 @@ class ConstraintSystem {
                                   std::string* first_violation = nullptr) const;
 
   /// Deterministic digest of the circuit structure; binds proofs to the
-  /// exact constraint system they were generated for.
+  /// exact constraint system they were generated for. Memoized: the first
+  /// call hashes the whole system, later calls are O(1) until allocate_*
+  /// or enforce changes the structure. Because the first call fills the
+  /// memo, a system shared between threads must have its digest taken
+  /// before it is shared; after that, all const access is read-only.
   [[nodiscard]] Fr digest() const;
 
  private:
@@ -94,6 +99,7 @@ class ConstraintSystem {
   std::size_t num_public_ = 0;
   bool private_allocated_ = false;
   std::vector<Constraint> constraints_;
+  mutable std::optional<Fr> digest_;
 };
 
 }  // namespace waku::zksnark

@@ -1,13 +1,57 @@
 #include "zksnark/rln_circuit.hpp"
 
-#include <map>
-#include <mutex>
+#include <algorithm>
 
 #include "common/expect.hpp"
 #include "hash/poseidon.hpp"
+#include "zksnark/fixed_shape.hpp"
 #include "zksnark/gadgets.hpp"
 
 namespace waku::zksnark {
+
+namespace {
+
+// The RLN relation, written once for both builders. Returns the publics
+// as the relation computes them: x and epoch as given, y, the nullifier
+// and the root from the witness.
+template <class B>
+RlnPublicInputs synthesize_rln(B& b, const RlnProverInput& input,
+                               const RlnPublicInputs& publics) {
+  // Public inputs first (Groth16 variable layout).
+  const WireOf<B> x = b.public_input(publics.x);
+  const WireOf<B> y = b.public_input(publics.y);
+  const WireOf<B> nullifier = b.public_input(publics.nullifier);
+  const WireOf<B> epoch = b.public_input(publics.epoch);
+  const WireOf<B> root = b.public_input(publics.root);
+
+  // Private witness.
+  const WireOf<B> sk = b.witness(input.sk);
+
+  // (1) membership: pk = Poseidon(sk) sits in the tree under `root`.
+  const WireOf<B> pk = poseidon1_gadget(b, sk);
+  const WireOf<B> computed_root = merkle_root_gadget(b, pk, input.path);
+  b.assert_equal(computed_root, root, "membership_root");
+
+  // (2) share validity: y = sk + a1 * x, a1 = Poseidon(sk, epoch).
+  const WireOf<B> a1 = poseidon2_gadget(b, sk, epoch);
+  const WireOf<B> a1x = b.mul(a1, x, "share_slope_times_x");
+  const WireOf<B> share = B::add(sk, a1x);
+  b.assert_equal(share, y, "share_validity");
+
+  // (3) nullifier correctness: phi = Poseidon(a1).
+  const WireOf<B> phi = poseidon1_gadget(b, a1);
+  b.assert_equal(phi, nullifier, "nullifier_correctness");
+
+  return RlnPublicInputs{publics.x, share.value, phi.value, publics.epoch,
+                         computed_root.value};
+}
+
+const FixedShape& rln_shape(std::size_t depth) {
+  static FixedShapeCache cache(rln_constraint_system, 0x524c4e00);  // "RLN"
+  return cache.at(depth);
+}
+
+}  // namespace
 
 RlnPublicInputs rln_compute_publics(const RlnProverInput& input) {
   const Fr pk = hash::poseidon1(input.sk);
@@ -23,35 +67,25 @@ RlnPublicInputs rln_compute_publics(const RlnProverInput& input) {
 
 RlnCircuit build_rln_circuit(const RlnProverInput& input) {
   WAKU_EXPECTS(!input.path.siblings.empty());
+  const FixedShape& shape = rln_shape(input.path.siblings.size());
+  // y, the nullifier and the root are outputs of the relation. Rather than
+  // hash them natively first (rln_compute_publics repeats every Poseidon
+  // of the witness), their slots start empty, feed no other value, and
+  // are filled from what the witness pass computed.
+  WitnessBuilder b(shape.cs->num_variables());
+  const RlnPublicInputs publics = synthesize_rln(
+      b, input, RlnPublicInputs{input.x, {}, {}, input.epoch, {}});
+  std::vector<Fr> assignment = std::move(b).take_assignment();
+  const std::vector<Fr> values = publics.to_vector();
+  std::copy(values.begin(), values.end(), assignment.begin() + 1);
+  return RlnCircuit{CircuitBuilder(shape.cs, std::move(assignment)), publics};
+}
+
+RlnCircuit build_rln_circuit_full(const RlnProverInput& input) {
+  WAKU_EXPECTS(!input.path.siblings.empty());
   RlnCircuit circuit;
   circuit.publics = rln_compute_publics(input);
-  CircuitBuilder& b = circuit.builder;
-
-  // Public inputs first (Groth16 variable layout).
-  const Wire x = b.public_input(circuit.publics.x);
-  const Wire y = b.public_input(circuit.publics.y);
-  const Wire nullifier = b.public_input(circuit.publics.nullifier);
-  const Wire epoch = b.public_input(circuit.publics.epoch);
-  const Wire root = b.public_input(circuit.publics.root);
-
-  // Private witness.
-  const Wire sk = b.witness(input.sk);
-
-  // (1) membership: pk = Poseidon(sk) sits in the tree under `root`.
-  const Wire pk = poseidon1_gadget(b, sk);
-  const Wire computed_root = merkle_root_gadget(b, pk, input.path);
-  b.assert_equal(computed_root, root, "membership_root");
-
-  // (2) share validity: y = sk + a1 * x, a1 = Poseidon(sk, epoch).
-  const Wire a1 = poseidon2_gadget(b, sk, epoch);
-  const Wire a1x = b.mul(a1, x, "share_slope_times_x");
-  b.assert_equal(CircuitBuilder::add(sk, a1x), y, "share_validity");
-
-  // (3) nullifier correctness: phi = Poseidon(a1).
-  const Wire phi = poseidon1_gadget(b, a1);
-  b.assert_equal(phi, nullifier, "nullifier_correctness");
-
-  WAKU_ENSURES(circuit.builder.satisfied());
+  (void)synthesize_rln(circuit.builder, input, circuit.publics);
   return circuit;
 }
 
@@ -63,23 +97,13 @@ ConstraintSystem rln_constraint_system(std::size_t depth) {
   dummy.path.siblings.assign(depth, Fr::zero());
   dummy.x = Fr::from_u64(2);
   dummy.epoch = Fr::from_u64(3);
-  RlnCircuit circuit = build_rln_circuit(dummy);
+  const RlnCircuit circuit = build_rln_circuit_full(dummy);
+  WAKU_ENSURES(circuit.builder.satisfied());
   return circuit.builder.cs();
 }
 
 const Keypair& rln_keypair(std::size_t depth) {
-  static std::map<std::size_t, Keypair> cache;
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache.find(depth);
-  if (it == cache.end()) {
-    // Deterministic ceremony randomness per depth: reproducible benches,
-    // and every node in a simulation shares the same artifact.
-    Rng rng(0x524c4e00 + depth);  // "RLN" + depth
-    const ConstraintSystem cs = rln_constraint_system(depth);
-    it = cache.emplace(depth, trusted_setup(cs, rng)).first;
-  }
-  return it->second;
+  return rln_shape(depth).keypair;
 }
 
 }  // namespace waku::zksnark

@@ -51,16 +51,25 @@ struct RlnCircuit {
   RlnPublicInputs publics;
 };
 
-/// Builds constraints and witness for `input`. The builder's assignment is
-/// ready for groth16 `prove`.
+/// Computes the witness for `input` over the cached constraint system of
+/// its tree depth (built once per depth, see rln_keypair). The builder's
+/// cs() is that shared system and its assignment is ready for groth16
+/// `prove`, which checks that the assignment satisfies it.
 RlnCircuit build_rln_circuit(const RlnProverInput& input);
 
+/// Builds constraints and witness together for `input`, as the per-depth
+/// system itself is built. Same assignment and digest as build_rln_circuit;
+/// slower, and for setup and tests.
+RlnCircuit build_rln_circuit_full(const RlnProverInput& input);
+
 /// Builds the constraint structure for a given tree depth with a dummy
-/// witness — used for trusted setup (structure depends only on depth).
+/// witness, and checks the witness satisfies it — used for trusted setup
+/// (structure depends only on depth).
 ConstraintSystem rln_constraint_system(std::size_t depth);
 
 /// Cached trusted-setup artifact per tree depth (the ceremony output all
-/// nodes share). Deterministic for reproducibility of the benches.
+/// nodes share), kept with the depth's constraint system.
+/// Deterministic for reproducibility of the benches.
 const Keypair& rln_keypair(std::size_t depth);
 
 }  // namespace waku::zksnark

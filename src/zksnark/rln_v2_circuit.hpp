@@ -43,12 +43,14 @@ Fr rln_v2_leaf(const Fr& pk, std::uint64_t limit);
 /// Honest public outputs for a prover input.
 RlnPublicInputs rln_v2_compute_publics(const RlnV2ProverInput& input);
 
-/// Builds constraints + witness; throws ContractViolation if message_id
-/// does not fit the bit budget (an honest prover never hits this; a
-/// cheating one cannot construct a witness at all).
+/// Computes the witness over the cached constraint system of the input's
+/// tree depth (as build_rln_circuit does for v1); throws ContractViolation
+/// if message_id does not fit the bit budget (an honest prover never hits
+/// this; a cheating one cannot construct a witness at all).
 RlnCircuit build_rln_v2_circuit(const RlnV2ProverInput& input);
 
-/// Structure-only system for setup, parameterized by tree depth.
+/// Structure-only system for setup, parameterized by tree depth; checks
+/// that its dummy witness satisfies it.
 ConstraintSystem rln_v2_constraint_system(std::size_t depth);
 
 /// Cached deterministic setup per depth (distinct from the v1 keypair).

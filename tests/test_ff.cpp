@@ -96,6 +96,8 @@ TEST(Fr, ZeroOneIdentities) {
   EXPECT_EQ(Fr::one() * Fr::one(), Fr::one());
   EXPECT_EQ(Fr::one() + Fr::zero(), Fr::one());
   EXPECT_EQ(Fr::from_u64(7) * Fr::zero(), Fr::zero());
+  EXPECT_EQ(Fr::one(), Fr::from_u64(1));
+  EXPECT_EQ(Fr::one().to_u256(), U256{1});
 }
 
 TEST(Fr, SmallIntegerArithmetic) {
@@ -209,6 +211,41 @@ TEST(Fr, BytesRoundTrip) {
 TEST(Fr, FromBytesShorterThan32Pads) {
   const Bytes b = {0x01, 0x00};  // big-endian 256
   EXPECT_EQ(Fr::from_bytes_reduce(b), Fr::from_u64(256));
+}
+
+// from_bytes_reduce decodes in place; pin it to the zero-pad-then-parse
+// reference for every length, including all-0xff inputs (values >= r).
+TEST(Fr, FromBytesEveryLengthMatchesPaddedReference) {
+  Rng rng(45);
+  for (std::size_t len = 0; len <= 32; ++len) {
+    for (int trial = 0; trial < 8; ++trial) {
+      Bytes b = trial == 0 ? Bytes(len, 0xff) : rng.next_bytes(len);
+      Bytes padded(32 - len, 0);
+      padded.insert(padded.end(), b.begin(), b.end());
+      EXPECT_EQ(Fr::from_bytes_reduce(b),
+                Fr::from_u256_reduce(u256_from_bytes_be(padded)))
+          << "len " << len << " trial " << trial;
+    }
+  }
+  EXPECT_TRUE(Fr::from_bytes_reduce(Bytes{}).is_zero());
+  EXPECT_TRUE(Fr::from_bytes_reduce(u256_to_bytes_be(Fr::kModulus)).is_zero());
+  bool borrow = false;
+  const U256 r_minus_1 = sub_borrow(Fr::kModulus, U256{1}, borrow);
+  EXPECT_EQ(Fr::from_bytes_reduce(u256_to_bytes_be(r_minus_1)),
+            Fr::one().neg());
+}
+
+TEST(Fr, IsZeroMatchesCanonicalValue) {
+  Rng rng(46);
+  for (int i = 0; i < 50; ++i) {
+    const Fr a = Fr::random(rng);
+    EXPECT_EQ(a.is_zero(), a.to_u256().is_zero());
+    EXPECT_TRUE((a - a).is_zero());
+    EXPECT_TRUE((a * Fr::zero()).is_zero());
+    EXPECT_TRUE((a + a.neg()).is_zero());
+  }
+  EXPECT_TRUE(Fr::from_u256_reduce(Fr::kModulus).is_zero());
+  EXPECT_FALSE(Fr::from_u64(1).is_zero());
 }
 
 TEST(Fr, RandomIsCanonical) {

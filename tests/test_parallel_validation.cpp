@@ -12,6 +12,8 @@
 //     identical per-message verdicts on identical inputs (deterministic
 //     mode IS the pre-executor pipeline, so this pins parallel execution
 //     to the original semantics).
+//   * per-depth fixed-shape cache — provers racing to first use of a
+//     depth build and key it once, and share the frozen system read-only.
 //
 // These binaries are what the TSan CI flavor runs (scripts/run_tier1.sh
 // thread).
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -225,6 +228,45 @@ TEST(GroupManagerConcurrency, ReadersRaceTheEventStreamWriter) {
   for (auto& t : readers) t.join();
   EXPECT_TRUE(group.is_recent_root(group.root()));
   EXPECT_EQ(group.member_count(), kEvents);
+}
+
+// -- Per-depth fixed-shape cache ----------------------------------------------
+
+TEST(FixedShapeConcurrency, ProversRaceToAFreshDepth) {
+  // Depth 9 is used nowhere else in this binary, so the threads below are
+  // the first to ask for it: one builds, digests and keys the shape, the
+  // others wait and then share it. Every proof must verify.
+  constexpr std::size_t kFreshDepth = 9;
+  constexpr std::size_t kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<int> verified(kThreads, 0);
+  std::vector<const zksnark::ConstraintSystem*> shapes(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0x5A9E + t);
+      zksnark::RlnProverInput input;
+      input.sk = Fr::random(rng);
+      input.path.index = t;
+      for (std::size_t l = 0; l < kFreshDepth; ++l) {
+        input.path.siblings.push_back(Fr::random(rng));
+      }
+      input.x = Fr::from_u64(1000 + t);
+      input.epoch = Fr::from_u64(100);
+      start.arrive_and_wait();
+      const zksnark::RlnCircuit c = zksnark::build_rln_circuit(input);
+      const zksnark::Keypair& kp = zksnark::rln_keypair(kFreshDepth);
+      const zksnark::Proof proof =
+          zksnark::prove(kp.pk, c.builder.cs(), c.builder.assignment(), rng);
+      verified[t] = zksnark::verify(kp.vk, c.publics.to_vector(), proof);
+      shapes[t] = &c.builder.cs();
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(verified[t]) << "thread " << t;
+    EXPECT_EQ(shapes[t], shapes[0]) << "thread " << t;
+  }
 }
 
 // -- Executor ordering and backpressure ---------------------------------------

@@ -164,6 +164,34 @@ TEST(RlnV2Circuit, ProveRefusesOverQuotaWitness) {
                ProofError);
 }
 
+// v2 computes its witness over the cached per-depth system too. The
+// digest and proof bytes for a fixed statement and RNG stream were
+// recorded with the constraints built per proof; they must not move.
+TEST(RlnV2Circuit, ProofBytesArePinned) {
+  Rng rng(77);
+  RlnV2ProverInput in;
+  in.sk = Fr::random(rng);
+  in.limit = 5;
+  in.message_id = 3;
+  in.path.index = 6;
+  for (int l = 0; l < 4; ++l) in.path.siblings.push_back(Fr::random(rng));
+  in.x = Fr::random(rng);
+  in.epoch = Fr::from_u64(31);
+  const RlnCircuit c = build_rln_v2_circuit(in);
+  EXPECT_TRUE(c.builder.satisfied());
+  EXPECT_EQ(c.builder.cs().digest(), rln_v2_constraint_system(4).digest());
+  Rng prove_rng(9);
+  const Proof proof = prove(rln_v2_keypair(4).pk, c.builder.cs(),
+                            c.builder.assignment(), prove_rng);
+  EXPECT_EQ(to_hex(c.builder.cs().digest().to_bytes_be()),
+            "11331bc77d67042d436acc54e75a26d708531e03c3689f8d9750e4c9ce9d3958");
+  EXPECT_EQ(to_hex(proof.serialize()),
+            "2552a742977e3ee7a3f8d9ebebc1fd207ea0abb00205458d1f007065995fb902"
+            "4c8374b1d84695b0ee0a41006101502cf6302fba4715f57e05bd84ecf71396e6"
+            "30e8b0916850a70564747212bdbe4eb208c0eaea31637e3ee372ed85d02fc044"
+            "cb0f7eeb9ac15a6cc0bc4c1f39941046473d7cd731bb41d7886b8ba501829ac6");
+}
+
 TEST(RlnV2Circuit, V1AndV2KeypairsAreDistinct) {
   EXPECT_NE(rln_keypair(8).pk.circuit_digest,
             rln_v2_keypair(8).pk.circuit_digest);

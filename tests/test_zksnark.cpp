@@ -3,6 +3,8 @@
 // and the structural properties the benches rely on.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "hash/poseidon.hpp"
@@ -93,6 +95,38 @@ TEST(ConstraintSystem, DigestDistinguishesCircuits) {
             rln_constraint_system(5).digest());
   EXPECT_EQ(rln_constraint_system(4).digest(),
             rln_constraint_system(4).digest());
+}
+
+TEST(ConstraintSystem, DigestMemoResetsOnEnforce) {
+  // Two systems built the same way: x * y = z, then a second constraint.
+  const auto build = [](ConstraintSystem& cs, bool second) {
+    const VarIndex x = cs.allocate_public();
+    const VarIndex y = cs.allocate_private();
+    const VarIndex z = cs.allocate_private();
+    cs.enforce(LinearCombination::variable(x), LinearCombination::variable(y),
+               LinearCombination::variable(z), "xy=z");
+    if (second) {
+      cs.enforce(LinearCombination::variable(z),
+                 LinearCombination::constant(Fr::one()),
+                 LinearCombination::variable(z), "z=z");
+    }
+  };
+  ConstraintSystem cs;
+  build(cs, /*second=*/false);
+  const Fr before = cs.digest();
+  EXPECT_EQ(cs.digest(), before);  // served from the memo
+  cs.enforce(LinearCombination::variable(3),
+             LinearCombination::constant(Fr::one()),
+             LinearCombination::variable(3), "z=z");
+  const Fr after = cs.digest();
+  EXPECT_NE(after, before);
+  ConstraintSystem fresh;
+  build(fresh, /*second=*/true);
+  EXPECT_EQ(after, fresh.digest());
+
+  // Allocating a variable changes the structure too.
+  (void)cs.allocate_private();
+  EXPECT_NE(cs.digest(), after);
 }
 
 TEST(CircuitBuilder, MulAddsOneConstraint) {
@@ -361,6 +395,109 @@ TEST_F(Groth16Rln, NonMemberCannotProve) {
   // The honest publics computation yields a root != the real tree root.
   const RlnPublicInputs pub = rln_compute_publics(input);
   EXPECT_NE(pub.root, fx.tree.root());
+}
+
+// --- Fixed shape: values-only witness over the cached per-depth system ---
+
+// A seeded random statement at `depth`: the values-only path must agree
+// with the full builder on every variable, on the digest and on the proof.
+RlnProverInput random_statement(std::size_t depth, std::uint64_t seed) {
+  Rng rng(seed);
+  RlnProverInput input;
+  input.sk = Fr::random(rng);
+  input.path.index = rng.next_u64() & ((std::uint64_t{1} << depth) - 1);
+  for (std::size_t l = 0; l < depth; ++l) {
+    input.path.siblings.push_back(Fr::random(rng));
+  }
+  input.x = Fr::random(rng);
+  input.epoch = Fr::random(rng);
+  return input;
+}
+
+class FixedShapeEquivalence : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FixedShapeEquivalence, ValuesOnlyMatchesFullBuilder) {
+  const std::size_t depth = GetParam();
+  const Keypair& kp = rln_keypair(depth);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const RlnProverInput input = random_statement(depth, 1000 * depth + seed);
+    const RlnCircuit full = build_rln_circuit_full(input);
+    const RlnCircuit fast = build_rln_circuit(input);
+    EXPECT_EQ(fast.publics, full.publics);
+
+    const auto a_full = full.builder.assignment();
+    const auto a_fast = fast.builder.assignment();
+    ASSERT_EQ(a_fast.size(), a_full.size());
+    ASSERT_EQ(a_fast.size(), fast.builder.cs().num_variables());
+    for (std::size_t i = 0; i < a_full.size(); ++i) {
+      ASSERT_EQ(a_fast[i], a_full[i]) << "depth " << depth << " var " << i;
+    }
+
+    EXPECT_EQ(full.builder.cs().num_constraints(),
+              fast.builder.cs().num_constraints());
+    EXPECT_EQ(full.builder.cs().digest(), fast.builder.cs().digest());
+    EXPECT_EQ(full.builder.cs().digest(), kp.pk.circuit_digest);
+
+    // The runtime satisfiability check build_rln_circuit no longer repeats
+    // (prove performs it) holds for the values-only witness.
+    std::string violation;
+    EXPECT_TRUE(fast.builder.satisfied(&violation)) << violation;
+
+    Rng rng_full(seed);
+    Rng rng_fast(seed);
+    const Proof p_full =
+        prove(kp.pk, full.builder.cs(), full.builder.assignment(), rng_full);
+    const Proof p_fast =
+        prove(kp.pk, fast.builder.cs(), fast.builder.assignment(), rng_fast);
+    EXPECT_EQ(p_fast.serialize(), p_full.serialize());
+    EXPECT_TRUE(verify(kp.vk, fast.publics.to_vector(), p_fast));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, FixedShapeEquivalence,
+                         ::testing::Values(1, 4, 20));
+
+TEST(FixedShape, CircuitsOfOneDepthShareTheSystem) {
+  const RlnCircuit a = build_rln_circuit(random_statement(5, 1));
+  const RlnCircuit b = build_rln_circuit(random_statement(5, 2));
+  EXPECT_EQ(&a.builder.cs(), &b.builder.cs());
+  EXPECT_NE(&a.builder.cs(), &build_rln_circuit(random_statement(6, 1)).builder.cs());
+}
+
+TEST(FixedShape, FrozenBuilderTakesNoNewConstraints) {
+  RlnCircuit c = build_rln_circuit(random_statement(3, 7));
+  const std::size_t before = c.builder.cs().num_constraints();
+  EXPECT_THROW((void)c.builder.witness(Fr::one()), ContractViolation);
+  const Wire one = CircuitBuilder::constant(Fr::one());
+  EXPECT_THROW(c.builder.assert_equal(one, one), ContractViolation);
+  EXPECT_EQ(c.builder.cs().num_constraints(), before);
+}
+
+TEST(FixedShape, RejectsAssignmentOfTheWrongLength) {
+  auto shape = std::make_shared<const ConstraintSystem>(rln_constraint_system(2));
+  EXPECT_THROW(CircuitBuilder(shape, std::vector<Fr>(3, Fr::one())),
+               ContractViolation);
+}
+
+constexpr const char* kPinnedDigestHex =
+    "094c96e7574b167386e188444f5c69e71054531567e4c3be96a5ca1ba9c00b61";
+constexpr const char* kPinnedProofHex =
+    "8ecde80a60c379b7ba36d1b6f7478b587a2d164aceaa3a818996b60a332c4c1d"
+    "4eadcabd60b7d593a08302d2da1e61ef5649743dfc8f4a18572c3eeda960a08c"
+    "49a4f589dc46af0d1e7a9eee1dc7ae5e320e3b904738a3a57fd8beb98e9d389d"
+    "8107d88cc95335ab87de38b11cf197a48040eae6e5949151b70eb53cad102215";
+
+// The proof bytes for a fixed statement and RNG stream, recorded before the
+// fixed-shape prover: the digest, the assignment and the RNG draws must all
+// stay as they were, so the proof does too.
+TEST(FixedShape, ProofBytesArePinned) {
+  const RlnProverInput input = random_statement(4, 99);
+  const RlnCircuit c = build_rln_circuit(input);
+  Rng rng(5);
+  const Proof proof = prove(rln_keypair(4).pk, c.builder.cs(),
+                            c.builder.assignment(), rng);
+  EXPECT_EQ(to_hex(c.builder.cs().digest().to_bytes_be()), kPinnedDigestHex);
+  EXPECT_EQ(to_hex(proof.serialize()), kPinnedProofHex);
 }
 
 TEST(Groth16, ProofSerializationRoundTrip) {

@@ -5,10 +5,13 @@
 // routing decision (epoch gap -> root freshness -> proof verification ->
 // nullifier-log lookup) as a relay experiences it, including how the
 // nullifier log's size affects the lookup, and the cheap-reject paths for
-// the attack traffic mixes E7 exercises.
+// the attack traffic mixes E7 exercises. The SHA-256 benches below time the
+// per-hop hashing (message id, hash-bind x = H(m)) through each compression
+// kernel and through message_hash.
 #include <benchmark/benchmark.h>
 
 #include "hash/poseidon.hpp"
+#include "hash/sha256.hpp"
 #include "merkle/merkle_tree.hpp"
 #include "rln/group_manager.hpp"
 #include "rln/rate_limit_proof.hpp"
@@ -146,6 +149,50 @@ BENCHMARK(BM_ValidateDuplicateWithLogSize)
     ->Arg(1'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMicrosecond);
+
+// One message of `state.range(0)` bytes, padded to whole blocks as
+// finalize() pads it, through one compression kernel.
+void run_sha256_kernel(benchmark::State& state,
+                       hash::detail::Sha256Compressor compress) {
+  if (compress == nullptr) {
+    state.SkipWithError("CPU or build lacks SHA-NI");
+    return;
+  }
+  const auto size = static_cast<std::size_t>(state.range(0));
+  Bytes padded = Rng(0x5A256).next_bytes(size);
+  padded.resize((size + 9 + 63) / 64 * 64, 0);
+  hash::detail::Sha256State digest_state{};
+  for (auto _ : state) {
+    compress(digest_state, padded.data(), padded.size() / 64);
+    benchmark::DoNotOptimize(digest_state.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+
+void BM_Sha256Portable(benchmark::State& state) {
+  run_sha256_kernel(state, &hash::detail::sha256_compress_portable);
+}
+BENCHMARK(BM_Sha256Portable)->Arg(32)->Arg(1024)->Arg(16 * 1024);
+
+void BM_Sha256Accelerated(benchmark::State& state) {
+  run_sha256_kernel(state, hash::detail::sha256_accelerated_compressor());
+}
+BENCHMARK(BM_Sha256Accelerated)->Arg(32)->Arg(1024)->Arg(16 * 1024);
+
+// The hash-bind a relay computes before the SNARK check.
+void BM_MessageHash(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  WakuMessage msg;
+  msg.payload = Rng(0x5A257).next_bytes(size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(message_hash(msg));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_MessageHash)->Arg(32)->Arg(1024)->Arg(16 * 1024);
 
 }  // namespace
 

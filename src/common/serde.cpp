@@ -6,22 +6,11 @@ namespace waku {
 
 void ByteWriter::write_u8(std::uint8_t v) { buf_.push_back(v); }
 
-void ByteWriter::write_u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+void ByteWriter::write_u16(std::uint16_t v) { write_raw(le_bytes(v)); }
 
-void ByteWriter::write_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void ByteWriter::write_u32(std::uint32_t v) { write_raw(le_bytes(v)); }
 
-void ByteWriter::write_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void ByteWriter::write_u64(std::uint64_t v) { write_raw(le_bytes(v)); }
 
 void ByteWriter::write_raw(BytesView data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
@@ -33,8 +22,7 @@ void ByteWriter::write_bytes(BytesView data) {
 }
 
 void ByteWriter::write_string(std::string_view s) {
-  write_u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  write_bytes(bytes_view(s));
 }
 
 void ByteReader::require(std::size_t n) const {

@@ -3,12 +3,30 @@
 // Waku messages) and for measuring serialized sizes in the benches.
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <string>
 
 #include "common/bytes.hpp"
 
 namespace waku {
+
+/// The little-endian bytes ByteWriter writes for `v`, so a hasher can take
+/// the same encoding without building the buffer.
+template <std::unsigned_integral T>
+constexpr std::array<std::uint8_t, sizeof(T)> le_bytes(T v) noexcept {
+  std::array<std::uint8_t, sizeof(T)> out{};
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return out;
+}
+
+/// Views a string's bytes without copying (UTF-8 passthrough).
+inline BytesView bytes_view(std::string_view s) noexcept {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
 
 /// Appends primitive values to an owned byte buffer in little-endian order.
 class ByteWriter {

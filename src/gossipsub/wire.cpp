@@ -8,15 +8,16 @@
 namespace waku::gossipsub {
 
 MessageId PubSubMessage::id() const {
-  ByteWriter w;
-  w.write_string(topic);
-  w.write_u32(origin);
-  w.write_u64(seqno);
-  w.write_bytes(data);
-  const hash::Sha256Digest d = hash::sha256(w.data());
-  MessageId id;
-  std::copy(d.begin(), d.end(), id.begin());
-  return id;
+  // SHA-256 of the ByteWriter encoding of (topic, origin, seqno, data),
+  // streamed instead of materialized.
+  hash::Sha256 h;
+  h.update(le_bytes(static_cast<std::uint32_t>(topic.size())));
+  h.update(bytes_view(topic));
+  h.update(le_bytes(origin));
+  h.update(le_bytes(seqno));
+  h.update(le_bytes(static_cast<std::uint32_t>(data.size())));
+  h.update(data);
+  return h.finalize();
 }
 
 Bytes encode_frame(const Frame& frame) {

@@ -39,7 +39,13 @@ std::vector<Fr> RateLimitProof::public_inputs(const Fr& msg_hash) const {
 }
 
 Fr message_hash(const WakuMessage& message) {
-  return Fr::from_bytes_reduce(hash::sha256_bytes(message.signal_bytes()));
+  // sha256(message.signal_bytes()), streamed instead of materialized.
+  hash::Sha256 h;
+  h.update(le_bytes(static_cast<std::uint32_t>(message.payload.size())));
+  h.update(message.payload);
+  h.update(le_bytes(static_cast<std::uint32_t>(message.content_topic.size())));
+  h.update(bytes_view(message.content_topic));
+  return Fr::from_bytes_reduce(h.finalize());
 }
 
 void attach_proof(WakuMessage& message, const RateLimitProof& proof) {

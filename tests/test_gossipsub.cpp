@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
+#include <utility>
 
+#include "common/rng.hpp"
+#include "common/serde.hpp"
 #include "gossipsub/router.hpp"
+#include "hash/sha256.hpp"
 
 namespace waku::gossipsub {
 namespace {
@@ -48,6 +53,34 @@ struct Swarm {
     return n;
   }
 };
+
+// Every node must derive the same id for a message, or dedup and gossip
+// break. Pinned to values recorded before id() streamed its encoding into
+// SHA-256, and checked against hashing the ByteWriter encoding.
+TEST(PubSubMessage, IdIsPinned) {
+  const std::pair<std::size_t, std::string_view> kGolden[] = {
+      {32, "c13d6bd1aebef1a584d09caf055da4cf6aec7fd9e82e761770dfd5f550130bd0"},
+      {1024,
+       "3d5a66b3d36952ef51fffc4bf17cbdd3e46c685fe7179d435508be119fe83cf9"},
+      {16384,
+       "430e1c954a3b45f5cc9a7d7ea27aa94b6e4d336d279df430f100500680858b3d"},
+  };
+  for (const auto& [size, hex] : kGolden) {
+    PubSubMessage msg;
+    msg.topic = "/waku/2/rs/0/0";
+    msg.data = Rng(0x1D + size).next_bytes(size);
+    msg.origin = 41;
+    msg.seqno = 0x0102030405060708ULL;
+    const MessageId id = msg.id();
+    EXPECT_EQ(to_hex(id), hex) << size;
+    ByteWriter w;
+    w.write_string(msg.topic);
+    w.write_u32(msg.origin);
+    w.write_u64(msg.seqno);
+    w.write_bytes(msg.data);
+    EXPECT_EQ(id, hash::sha256(w.data())) << size;
+  }
+}
 
 TEST(GossipSub, MeshFormsWithinBounds) {
   Swarm swarm(20);

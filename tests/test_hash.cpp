@@ -2,9 +2,12 @@
 // tests for Poseidon (whose constants are project-specific; see DESIGN.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -66,6 +69,122 @@ TEST(Sha256, LongInput) {
   const Bytes data(1'000'000, 'a');
   EXPECT_EQ(to_hex(sha256_bytes(data)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// --- Compression kernels, each driven directly: the portable kernel always,
+// the SHA-NI kernel where this build and CPU have it. ---
+
+constexpr detail::Sha256State kSha256Iv = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                           0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                           0x1f83d9ab, 0x5be0cd19};
+
+// FIPS 180-4 padding built by hand, then every block in one kernel call.
+Sha256Digest sha256_with(detail::Sha256Compressor compress, BytesView data) {
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  detail::Sha256State state = kSha256Iv;
+  compress(state, padded.data(), padded.size() / 64);
+  Sha256Digest out{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+void expect_published_vectors(detail::Sha256Compressor compress) {
+  const std::pair<std::string_view, std::string_view> kVectors[] = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc",
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"The quick brown fox jumps over the lazy dog",
+       "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"},
+  };
+  for (const auto& [msg, hex] : kVectors) {
+    EXPECT_EQ(to_hex(sha256_with(compress, to_bytes(msg))), hex) << msg;
+  }
+  const Bytes million_a(1'000'000, 'a');
+  EXPECT_EQ(to_hex(sha256_with(compress, million_a)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// Every length 0..1024 (all padding cases, one to seventeen blocks), then
+// seeded random lengths up to 2 x 16 KiB, the largest relayed payload twice.
+std::vector<Bytes> kernel_inputs() {
+  Rng rng(0x5A256);
+  std::vector<Bytes> inputs;
+  for (std::size_t n = 0; n <= 1024; ++n) inputs.push_back(rng.next_bytes(n));
+  for (int i = 0; i < 48; ++i) {
+    inputs.push_back(rng.next_bytes(rng.next_below(2 * 16384 + 1)));
+  }
+  inputs.push_back(rng.next_bytes(2 * 16384));
+  return inputs;
+}
+
+TEST(Sha256Kernels, PortableMatchesPublishedVectors) {
+  expect_published_vectors(&detail::sha256_compress_portable);
+}
+
+TEST(Sha256Kernels, AcceleratedMatchesPublishedVectors) {
+  const detail::Sha256Compressor accelerated = detail::sha256_accelerated_compressor();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "CPU or build lacks SHA-NI: accelerated kernel not run";
+  }
+  expect_published_vectors(accelerated);
+}
+
+TEST(Sha256Kernels, HasherMatchesPortableOnRandomInputs) {
+  for (const Bytes& in : kernel_inputs()) {
+    ASSERT_EQ(sha256(in), sha256_with(&detail::sha256_compress_portable, in))
+        << "length " << in.size();
+  }
+}
+
+TEST(Sha256Kernels, AcceleratedMatchesPortableOnRandomInputs) {
+  const detail::Sha256Compressor accelerated = detail::sha256_accelerated_compressor();
+  if (accelerated == nullptr) {
+    GTEST_SKIP() << "CPU or build lacks SHA-NI: accelerated kernel not run";
+  }
+  for (const Bytes& in : kernel_inputs()) {
+    ASSERT_EQ(sha256_with(accelerated, in),
+              sha256_with(&detail::sha256_compress_portable, in))
+        << "length " << in.size();
+  }
+}
+
+TEST(Sha256, UpdatesSplitAtRandomOffsetsMatchOneShot) {
+  Rng rng(0x5EED);
+  for (int trial = 0; trial < 32; ++trial) {
+    const Bytes data = rng.next_bytes(rng.next_below(2 * 16384 + 1));
+    Sha256 h;
+    std::size_t off = 0;
+    while (off < data.size()) {
+      // Mostly sub-block pieces (zero-length ones included), some spanning
+      // several blocks.
+      const std::size_t piece = rng.next_below(4) == 0 ? rng.next_below(2048)
+                                                       : rng.next_below(80);
+      const std::size_t take = std::min(piece, data.size() - off);
+      h.update(BytesView(data.data() + off, take));
+      off += take;
+    }
+    ASSERT_EQ(h.finalize(), sha256(data)) << "trial " << trial;
+  }
+}
+
+TEST(Sha256, ResetAllowsReuse) {
+  Sha256 h;
+  h.update(to_bytes("abc"));
+  (void)h.finalize();
+  h.reset();
+  h.update(to_bytes("abc"));
+  EXPECT_EQ(to_hex(h.finalize()),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Keccak256, EmptyVector) {

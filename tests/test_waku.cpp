@@ -4,7 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string_view>
+#include <utility>
 
+#include "common/rng.hpp"
+#include "hash/sha256.hpp"
+#include "rln/rate_limit_proof.hpp"
 #include "waku/filter.hpp"
 #include "waku/message.hpp"
 #include "waku/relay.hpp"
@@ -42,6 +47,28 @@ TEST(WakuMessage, SignalBytesCoverPayloadAndTopic) {
   WakuMessage c = a;
   c.rate_limit_proof = to_bytes("zzz");
   EXPECT_EQ(a.signal_bytes(), c.signal_bytes());
+}
+
+// x = H(m) is a public input of every RLN proof, so it is wire-visible.
+// Pinned to values recorded before message_hash streamed the signal into
+// SHA-256, and checked against hashing the materialized signal bytes.
+TEST(WakuMessage, MessageHashIsPinned) {
+  const std::pair<std::size_t, std::string_view> kGolden[] = {
+      {32, "2353b048eb17b48019932d2d9c4de9b0fda2497f4590c42de2d9b60e672803b3"},
+      {1024,
+       "071aec68bb8e885030620b5ccce75e4f9732f3207e43f3150f78564c9dcf163d"},
+      {16384,
+       "1769dc1e4006981792ae69068eb721bf15ef14ca4b8fef867aa80a2fd87cc698"},
+  };
+  for (const auto& [size, hex] : kGolden) {
+    WakuMessage m;
+    m.payload = Rng(0x5AA + size).next_bytes(size);
+    m.content_topic = "/toy-chat/2/huilong/proto";
+    const ff::Fr x = rln::message_hash(m);
+    EXPECT_EQ(to_hex(x.to_bytes_be()), hex) << size;
+    EXPECT_EQ(x, ff::Fr::from_bytes_reduce(hash::sha256_bytes(m.signal_bytes())))
+        << size;
+  }
 }
 
 TEST(WakuMessage, DeserializeRejectsTruncated) {

@@ -7,6 +7,8 @@
 // path extraction, path verification, and partial-view event processing.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "hash/poseidon.hpp"
 #include "merkle/merkle_tree.hpp"
 #include "merkle/partial_view.hpp"
@@ -106,6 +108,14 @@ void BM_PartialViewUpdateEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_PartialViewUpdateEvent)->Arg(10)->Arg(20);
 
+void BM_PoseidonHash1(benchmark::State& state) {
+  const ff::Fr a = ff::Fr::from_u64(123);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash::poseidon1(a));
+  }
+}
+BENCHMARK(BM_PoseidonHash1);
+
 void BM_PoseidonHash2(benchmark::State& state) {
   const ff::Fr a = ff::Fr::from_u64(123);
   const ff::Fr b = ff::Fr::from_u64(456);
@@ -114,6 +124,49 @@ void BM_PoseidonHash2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoseidonHash2);
+
+void BM_PoseidonHash3(benchmark::State& state) {
+  const ff::Fr a = ff::Fr::from_u64(123);
+  const ff::Fr b = ff::Fr::from_u64(456);
+  const ff::Fr c = ff::Fr::from_u64(789);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash::poseidon3(a, b, c));
+  }
+}
+BENCHMARK(BM_PoseidonHash3);
+
+void BM_PoseidonHash4(benchmark::State& state) {
+  const std::array<ff::Fr, 4> in{ff::Fr::from_u64(123), ff::Fr::from_u64(456),
+                                 ff::Fr::from_u64(789), ff::Fr::from_u64(12)};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hash::poseidon_hash(in));
+  }
+}
+BENCHMARK(BM_PoseidonHash4);
+
+// Field kernels, each as a dependent chain so every iteration pays the full
+// latency of one operation.
+void BM_FrMul(benchmark::State& state) {
+  Rng rng(0xF1);
+  ff::Fr x = ff::Fr::random(rng);
+  const ff::Fr y = ff::Fr::random(rng);
+  for (auto _ : state) {
+    x = x * y;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FrMul);
+
+void BM_FrAdd(benchmark::State& state) {
+  Rng rng(0xF2);
+  ff::Fr x = ff::Fr::random(rng);
+  const ff::Fr y = ff::Fr::random(rng);
+  for (auto _ : state) {
+    x = x + y;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_FrAdd);
 
 }  // namespace
 

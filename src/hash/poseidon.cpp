@@ -1,5 +1,6 @@
 #include "hash/poseidon.hpp"
 
+#include <algorithm>
 #include <array>
 #include <mutex>
 #include <string>
@@ -78,63 +79,230 @@ PoseidonParams build_params(std::size_t t) {
   return p;
 }
 
+// The tables the native permutation runs on, derived once per width from
+// PoseidonParams (Poseidon paper, App. B). Partial round k of the textbook
+// form is x -> M·S0(x + c_k) with S0 the S-box on lane 0 only.
+//
+// 1. Constant folding. S0 and M are the identity / linear on lanes 1..t-1,
+//    so the tail of c_k can be pushed through M into round k+1:
+//    c_{k+1} += M·(0, c_k[1..]). Each partial round then adds one scalar to
+//    lane 0, and the last tail lands in the first full round after them.
+// 2. Sparse MDS. Split M = [[m00, w^T], [v, M̂]]. Keep the state as z with
+//    x = diag(1, D̂)·z; diag(1, D̂) commutes with S0 and with adding to lane
+//    0, so round k only has to apply the sparse
+//      z0 <- m00·z0 + ŵ_k·z[1..],   z[1..] <- z[1..] + v̂_k·z0
+//    with ŵ_k = (M̂^T)^(k-1)·w, v̂_k = M̂^-k·v, and D̂ = M̂^R_P is applied
+//    once after the last partial round: 2t-1 multiplications per round plus
+//    one dense (t-1)x(t-1) product, instead of t² per round.
+struct NativeTables {
+  std::vector<Fr> full_rc;     ///< R_F·t, the post-partial round folded
+  std::vector<Fr> partial_rc;  ///< R_P scalars, one per partial round
+  /// Per partial round: ŵ_k (t-1 entries), then v̂_k (t-1 entries).
+  std::vector<Fr> sparse;
+  std::vector<Fr> tail;  ///< M̂^R_P, (t-1)x(t-1) row-major
+};
+
+using Matrix = std::vector<std::vector<Fr>>;
+
+Matrix mat_mul(const Matrix& a, const Matrix& b) {
+  const std::size_t n = a.size();
+  Matrix out(n, std::vector<Fr>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t k = 0; k < n; ++k) out[i][j] += a[i][k] * b[k][j];
+    }
+  }
+  return out;
+}
+
+std::vector<Fr> mat_vec(const Matrix& a, const std::vector<Fr>& x) {
+  std::vector<Fr> out(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < x.size(); ++j) out[i] += a[i][j] * x[j];
+  }
+  return out;
+}
+
+// Gauss-Jordan inverse; the MDS sub-matrices it is used on are invertible.
+Matrix mat_inverse(Matrix a) {
+  const std::size_t n = a.size();
+  Matrix inv(n, std::vector<Fr>(n));
+  for (std::size_t i = 0; i < n; ++i) inv[i][i] = Fr::one();
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    while (pivot < n && a[pivot][col].is_zero()) ++pivot;
+    WAKU_EXPECTS(pivot < n);
+    std::swap(a[col], a[pivot]);
+    std::swap(inv[col], inv[pivot]);
+    const Fr scale = a[col][col].inverse();
+    for (std::size_t j = 0; j < n; ++j) {
+      a[col][j] *= scale;
+      inv[col][j] *= scale;
+    }
+    for (std::size_t row = 0; row < n; ++row) {
+      if (row == col || a[row][col].is_zero()) continue;
+      const Fr f = a[row][col];
+      for (std::size_t j = 0; j < n; ++j) {
+        a[row][j] -= f * a[col][j];
+        inv[row][j] -= f * inv[col][j];
+      }
+    }
+  }
+  return inv;
+}
+
+NativeTables build_native(const PoseidonParams& p) {
+  const std::size_t t = p.t;
+  const std::size_t half_full = p.full_rounds / 2;
+  NativeTables n;
+
+  // Constant folding, in the textbook coordinates.
+  std::vector<Fr> carry(t);  // tail constants pushed into the next round
+  for (std::size_t k = 0; k < p.partial_rounds; ++k) {
+    std::vector<Fr> eff(t);
+    for (std::size_t i = 0; i < t; ++i) {
+      eff[i] = p.rc(half_full + k, i) + carry[i];
+    }
+    n.partial_rc.push_back(eff[0]);
+    for (std::size_t i = 0; i < t; ++i) {
+      carry[i] = Fr::zero();
+      for (std::size_t j = 1; j < t; ++j) carry[i] += p.m(i, j) * eff[j];
+    }
+  }
+  for (std::size_t r = 0; r < p.full_rounds; ++r) {
+    const std::size_t round = r < half_full ? r : r + p.partial_rounds;
+    for (std::size_t i = 0; i < t; ++i) {
+      n.full_rc.push_back(p.rc(round, i) +
+                          (r == half_full ? carry[i] : Fr::zero()));
+    }
+  }
+
+  // Sparse factorization of the partial-round MDS.
+  Matrix m_hat(t - 1, std::vector<Fr>(t - 1));
+  std::vector<Fr> w(t - 1);
+  std::vector<Fr> v(t - 1);
+  for (std::size_t i = 1; i < t; ++i) {
+    w[i - 1] = p.m(0, i);
+    v[i - 1] = p.m(i, 0);
+    for (std::size_t j = 1; j < t; ++j) m_hat[i - 1][j - 1] = p.m(i, j);
+  }
+  Matrix m_hat_t(t - 1, std::vector<Fr>(t - 1));
+  Matrix power(t - 1, std::vector<Fr>(t - 1));  // M̂^k
+  for (std::size_t i = 0; i + 1 < t; ++i) {
+    power[i][i] = Fr::one();
+    for (std::size_t j = 0; j + 1 < t; ++j) m_hat_t[i][j] = m_hat[j][i];
+  }
+  const Matrix m_hat_inv = mat_inverse(m_hat);
+  std::vector<Fr> w_k = w;
+  std::vector<Fr> v_k = mat_vec(m_hat_inv, v);
+  for (std::size_t k = 0; k < p.partial_rounds; ++k) {
+    n.sparse.insert(n.sparse.end(), w_k.begin(), w_k.end());
+    n.sparse.insert(n.sparse.end(), v_k.begin(), v_k.end());
+    w_k = mat_vec(m_hat_t, w_k);
+    v_k = mat_vec(m_hat_inv, v_k);
+    power = mat_mul(power, m_hat);
+  }
+  for (const std::vector<Fr>& row : power) {
+    n.tail.insert(n.tail.end(), row.begin(), row.end());
+  }
+  return n;
+}
+
+struct PoseidonInstance {
+  PoseidonParams params;
+  NativeTables native;
+};
+
+const PoseidonInstance& poseidon_instance(std::size_t t) {
+  WAKU_EXPECTS(t >= 2 && t <= 5);
+  static std::array<PoseidonInstance, 6> cache;
+  static std::once_flag flags[6];
+  std::call_once(flags[t], [t] {
+    cache[t].params = build_params(t);
+    cache[t].native = build_native(cache[t].params);
+  });
+  return cache[t];
+}
+
 Fr sbox(const Fr& x) {
   const Fr x2 = x.square();
   const Fr x4 = x2.square();
   return x4 * x;
 }
 
+template <std::size_t T>
+void full_round(std::array<Fr, T>& s, const Fr* rc, const PoseidonParams& p) {
+  for (std::size_t i = 0; i < T; ++i) s[i] = sbox(s[i] + rc[i]);
+  std::array<Fr, T> next;
+  for (std::size_t i = 0; i < T; ++i) {
+    Fr acc = p.m(i, 0) * s[0];
+    for (std::size_t j = 1; j < T; ++j) acc += p.m(i, j) * s[j];
+    next[i] = acc;
+  }
+  s = next;
+}
+
+template <std::size_t T>
+void permute(std::array<Fr, T>& s, const PoseidonInstance& inst) {
+  const PoseidonParams& p = inst.params;
+  const NativeTables& n = inst.native;
+  const std::size_t half_full = p.full_rounds / 2;
+
+  const Fr* rc = n.full_rc.data();
+  for (std::size_t r = 0; r < half_full; ++r, rc += T) full_round(s, rc, p);
+
+  const Fr m00 = p.m(0, 0);
+  const Fr* sparse = n.sparse.data();
+  for (std::size_t k = 0; k < p.partial_rounds; ++k, sparse += 2 * (T - 1)) {
+    const Fr x0 = sbox(s[0] + n.partial_rc[k]);
+    Fr acc = m00 * x0;
+    for (std::size_t j = 1; j < T; ++j) {
+      acc += sparse[j - 1] * s[j];
+      s[j] += sparse[T - 1 + j - 1] * x0;
+    }
+    s[0] = acc;
+  }
+  std::array<Fr, T> tail_out;
+  for (std::size_t i = 1; i < T; ++i) {
+    const Fr* row = n.tail.data() + (i - 1) * (T - 1);
+    Fr acc = row[0] * s[1];
+    for (std::size_t j = 2; j < T; ++j) acc += row[j - 1] * s[j];
+    tail_out[i] = acc;
+  }
+  for (std::size_t i = 1; i < T; ++i) s[i] = tail_out[i];
+
+  for (std::size_t r = 0; r < half_full; ++r, rc += T) full_round(s, rc, p);
+}
+
+template <std::size_t T>
+void permute_span(std::span<Fr> state) {
+  std::array<Fr, T> s;
+  std::copy(state.begin(), state.end(), s.begin());
+  permute(s, poseidon_instance(T));
+  std::copy(s.begin(), s.end(), state.begin());
+}
+
 }  // namespace
 
 const PoseidonParams& poseidon_params(std::size_t t) {
-  WAKU_EXPECTS(t >= 2 && t <= 5);
-  static std::array<PoseidonParams, 6> cache;
-  static std::once_flag flags[6];
-  std::call_once(flags[t], [t] { cache[t] = build_params(t); });
-  return cache[t];
+  return poseidon_instance(t).params;
 }
 
 void poseidon_permute(std::span<Fr> state) {
-  const std::size_t t = state.size();
-  const PoseidonParams& p = poseidon_params(t);
-
-  std::vector<Fr> next(t);
-  const std::size_t half_full = p.full_rounds / 2;
-
-  auto mix = [&](std::span<Fr> s) {
-    for (std::size_t i = 0; i < t; ++i) {
-      Fr acc = Fr::zero();
-      for (std::size_t j = 0; j < t; ++j) acc += p.m(i, j) * s[j];
-      next[i] = acc;
-    }
-    for (std::size_t i = 0; i < t; ++i) s[i] = next[i];
-  };
-
-  std::size_t round = 0;
-  for (std::size_t r = 0; r < half_full; ++r, ++round) {
-    for (std::size_t i = 0; i < t; ++i) {
-      state[i] = sbox(state[i] + p.rc(round, i));
-    }
-    mix(state);
-  }
-  for (std::size_t r = 0; r < p.partial_rounds; ++r, ++round) {
-    for (std::size_t i = 0; i < t; ++i) state[i] += p.rc(round, i);
-    state[0] = sbox(state[0]);
-    mix(state);
-  }
-  for (std::size_t r = 0; r < half_full; ++r, ++round) {
-    for (std::size_t i = 0; i < t; ++i) {
-      state[i] = sbox(state[i] + p.rc(round, i));
-    }
-    mix(state);
+  switch (state.size()) {
+    case 2: return permute_span<2>(state);
+    case 3: return permute_span<3>(state);
+    case 4: return permute_span<4>(state);
+    case 5: return permute_span<5>(state);
+    default: WAKU_EXPECTS(state.size() >= 2 && state.size() <= 5);
   }
 }
 
 Fr poseidon_hash(std::span<const Fr> inputs) {
   WAKU_EXPECTS(!inputs.empty() && inputs.size() <= 4);
-  std::vector<Fr> state(inputs.size() + 1, Fr::zero());
-  for (std::size_t i = 0; i < inputs.size(); ++i) state[i + 1] = inputs[i];
-  poseidon_permute(state);
+  std::array<Fr, 5> state{};
+  std::copy(inputs.begin(), inputs.end(), state.begin() + 1);
+  poseidon_permute(std::span<Fr>(state.data(), inputs.size() + 1));
   return state[0];
 }
 

@@ -12,6 +12,16 @@
 // instead of the reference Grain-LFSR stream; the algebraic structure is
 // identical and no benchmark or protocol behaviour depends on the
 // particular constant stream.
+//
+// Two evaluations of the same permutation exist. The R1CS gadget
+// (zksnark/gadgets.cpp) runs the dense textbook rounds from PoseidonParams,
+// so the circuit and its constraint count follow the definition directly.
+// The native functions below run an equivalent form derived once per width
+// (Poseidon paper, App. B): partial-round constants folded to one scalar
+// per round and the partial-round MDS factored into sparse matrices, with
+// the state on the stack. For t = 3 that is ~600 field multiplications per
+// hash instead of ~830; outputs are bit-identical, which test_hash pins and
+// test_zksnark checks against the gadget.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +59,8 @@ struct PoseidonParams {
 /// Returns the (cached) parameter set for width t in [2, 5].
 const PoseidonParams& poseidon_params(std::size_t t);
 
-/// Applies the Poseidon permutation in place; state.size() selects t.
+/// Applies the Poseidon permutation in place; state.size() selects t in
+/// [2, 5].
 void poseidon_permute(std::span<Fr> state);
 
 /// Fixed-length Poseidon hash of 1..4 field elements (width t = n+1,

@@ -1,6 +1,8 @@
 // Unit and property tests for U256 and the BN254 scalar field Fr.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "ff/fr.hpp"
@@ -283,6 +285,93 @@ TEST(Fr, MulMatchesRepeatedAddition) {
     Fr sum = Fr::zero();
     for (std::uint64_t j = 0; j < k; ++j) sum += a;
     EXPECT_EQ(a * Fr::from_u64(k), sum);
+  }
+}
+
+// -- Fr against the independent U256 reference ------------------------------
+//
+// The inline Montgomery kernel in fr.hpp is checked against ff::add_mod /
+// ff::mul_mod, plain binary double-and-add over U256 that shares no code
+// with it, on seeded random values and on the carry/borrow edges. The edges
+// are taken both as canonical values and as raw Montgomery limbs, since the
+// kernel only ever sees the latter.
+
+U256 ref_sub(const U256& a, const U256& b) {
+  if (a >= b) return a - b;
+  return a + (Fr::kModulus - b);
+}
+
+// The element whose Montgomery representation is `m` (m < r): its value is
+// m * 2^-256 mod r.
+Fr with_mont_repr(const U256& m) {
+  static const Fr r_inv = Fr::from_u64(2).pow(256).inverse();
+  return Fr::from_u256_canonical(m) * r_inv;
+}
+
+std::vector<U256> edge_values() {
+  const U256& r = Fr::kModulus;
+  const U256 two_253(0, 0, 0, 1ULL << 61);
+  std::vector<U256> out = {U256{0},
+                           U256{1},
+                           U256{2},
+                           r - U256{1},
+                           r - U256{2},
+                           two_253,
+                           two_253 + U256{1},
+                           two_253 - U256{1},
+                           r - U256(0, 1, 0, 0),
+                           U256(~0ULL, ~0ULL, ~0ULL, r.limb[3] - 1)};
+  Rng rng(0xF5);
+  while (out.size() < 24) {  // random values in [2^253, r)
+    U256 v{rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()};
+    v.limb[3] = (v.limb[3] & ((1ULL << 62) - 1)) | (1ULL << 61);
+    if (v < r) out.push_back(v);
+  }
+  return out;
+}
+
+void expect_matches_reference(const Fr& a, const Fr& b) {
+  const U256 x = a.to_u256();
+  const U256 y = b.to_u256();
+  ASSERT_LT(x, Fr::kModulus);
+  ASSERT_LT(y, Fr::kModulus);
+  EXPECT_EQ((a + b).to_u256(), add_mod(x, y, Fr::kModulus))
+      << u256_to_hex(x) << " + " << u256_to_hex(y);
+  EXPECT_EQ((a - b).to_u256(), ref_sub(x, y))
+      << u256_to_hex(x) << " - " << u256_to_hex(y);
+  EXPECT_EQ((a * b).to_u256(), mul_mod(x, y, Fr::kModulus))
+      << u256_to_hex(x) << " * " << u256_to_hex(y);
+  EXPECT_EQ(a.square().to_u256(), mul_mod(x, x, Fr::kModulus))
+      << u256_to_hex(x) << "^2";
+  EXPECT_EQ(a.neg().to_u256(), ref_sub(U256{0}, x)) << "-" << u256_to_hex(x);
+}
+
+TEST(Fr, ArithmeticMatchesU256ReferenceOnRandomValues) {
+  Rng rng(0xF4);
+  for (int i = 0; i < 500; ++i) {
+    expect_matches_reference(Fr::random(rng), Fr::random(rng));
+  }
+}
+
+TEST(Fr, ArithmeticMatchesU256ReferenceOnCanonicalEdges) {
+  const std::vector<U256> edges = edge_values();
+  for (const U256& x : edges) {
+    for (const U256& y : edges) {
+      expect_matches_reference(Fr::from_u256_canonical(x),
+                               Fr::from_u256_canonical(y));
+    }
+  }
+}
+
+TEST(Fr, ArithmeticMatchesU256ReferenceOnMontgomeryEdges) {
+  const std::vector<U256> edges = edge_values();
+  for (const U256& m : edges) {
+    ASSERT_EQ(with_mont_repr(m).mont_repr(), m) << u256_to_hex(m);
+  }
+  for (const U256& x : edges) {
+    for (const U256& y : edges) {
+      expect_matches_reference(with_mont_repr(x), with_mont_repr(y));
+    }
   }
 }
 

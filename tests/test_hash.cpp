@@ -16,6 +16,7 @@
 #include "hash/poseidon.hpp"
 #include "hash/schnorr.hpp"
 #include "hash/sha256.hpp"
+#include "merkle/merkle_tree.hpp"
 
 namespace waku::hash {
 namespace {
@@ -314,6 +315,35 @@ TEST(Poseidon, OutputsAreCanonicalFieldElements) {
     const Fr h = poseidon2(Fr::random(rng), Fr::random(rng));
     EXPECT_LT(h.to_u256(), Fr::kModulus);
   }
+}
+
+TEST(Poseidon, OutputsArePinned) {
+  // Hex recorded from the dense textbook permutation (the full t x t MDS in
+  // every round); the native evaluation must reproduce it bit for bit.
+  const Fr a = Fr::from_u64(1);
+  const Fr b = Fr::from_u64(2);
+  const Fr c = Fr::from_u64(3);
+  const Fr d = Fr::from_u64(4);
+  const Fr top = Fr::zero() - Fr::one();  // r - 1
+  const std::array<Fr, 4> four{a, b, c, d};
+  EXPECT_EQ(ff::fr_to_hex(poseidon1(a)),
+            "0x055777d607b219d487f6373fd7b3860672872d6001dd44d02752b354395afb7c");
+  EXPECT_EQ(ff::fr_to_hex(poseidon2(a, b)),
+            "0x15a0713c6cedd010e7fece66855cdfbec7619740c425f05872b946cda47d2429");
+  EXPECT_EQ(ff::fr_to_hex(poseidon2(top, top)),
+            "0x14e8298cc712528a59cdb39248c787c455f8872a988db9b226f4af95251e2f24");
+  EXPECT_EQ(ff::fr_to_hex(poseidon3(a, b, c)),
+            "0x154320371481c7324657f0ae01f30b392c4d575ddc002ce32a2a4fcec96f71e6");
+  EXPECT_EQ(ff::fr_to_hex(poseidon_hash(four)),
+            "0x075bb22321055cfd94d5bfca78f47d7a9c669968854c2d5194db3edc629677da");
+  EXPECT_EQ(ff::fr_to_hex(merkle::zero_at(20)),
+            "0x247a93a07c89dce11ea6f8e1b17df1acf14df31af8fef7c98dd945d0160c2c5d");
+  merkle::IncrementalMerkleTree tree(20);
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    tree.insert(poseidon1(Fr::from_u64(1000 + i)));
+  }
+  EXPECT_EQ(ff::fr_to_hex(tree.root()),
+            "0x0a90c0caa5b3a96008195fab0022a0709fe1b03cddd6e6ee9dec059ff9698b97");
 }
 
 // -- Schnorr (checkpoint attestation scheme) ---------------------------------
